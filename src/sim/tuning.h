@@ -69,7 +69,11 @@ struct Tuning
     /**
      * Consumer poll cadence while a ring is busy (sim::Poller). Kept at
      * the upcall latency so polled delivery is no slower than a notify
-     * — the poll replaces the evtchn_send, not the wakeup delay.
+     * — the poll replaces the evtchn_send, not the wakeup delay. This
+     * is the modelled cadence: the poller dispatches only the ticks
+     * that find work (or re-arm) and credits the empty ones to the
+     * engine, so eventsRun() and dispatchChecksum() still count one
+     * event per tick at quiescence. Read when a poll chain starts.
      */
     Duration pollInterval = Duration::nanos(1000);
 

@@ -397,8 +397,56 @@ BTree::rebuildPath(const std::vector<PathElem> &path,
 }
 
 void
+BTree::mutate(Mutation op, std::function<void(Status)> done)
+{
+    if (mutating_ || !waiting_.empty()) {
+        waiting_.emplace_back(std::move(op), std::move(done));
+        return;
+    }
+    startMutation(std::move(op), std::move(done));
+}
+
+void
+BTree::startMutation(Mutation op, std::function<void(Status)> done)
+{
+    mutating_ = true;
+    op([this, done = std::move(done)](Status st) {
+        // The caller's continuation runs first (a lone set's follow-up
+        // I/O keeps its order), queued mutations after it.
+        mutating_ = false;
+        done(st);
+        if (!mutating_ && !waiting_.empty()) {
+            auto [next, next_done] = std::move(waiting_.front());
+            waiting_.pop_front();
+            startMutation(std::move(next), std::move(next_done));
+        }
+    });
+}
+
+void
 BTree::set(const std::string &key, const std::string &value,
            std::function<void(Status)> done)
+{
+    mutate(
+        [this, key, value](std::function<void(Status)> finish) {
+            applySet(key, value, std::move(finish));
+        },
+        std::move(done));
+}
+
+void
+BTree::remove(const std::string &key, std::function<void(Status)> done)
+{
+    mutate(
+        [this, key](std::function<void(Status)> finish) {
+            applyRemove(key, std::move(finish));
+        },
+        std::move(done));
+}
+
+void
+BTree::applySet(const std::string &key, const std::string &value,
+                std::function<void(Status)> done)
 {
     if (!mounted_) {
         done(stateError("BTree: not mounted"));
@@ -468,7 +516,8 @@ BTree::set(const std::string &key, const std::string &value,
 }
 
 void
-BTree::remove(const std::string &key, std::function<void(Status)> done)
+BTree::applyRemove(const std::string &key,
+                   std::function<void(Status)> done)
 {
     if (!mounted_ || root_offset_ == 0) {
         done(notFoundError("BTree: empty tree"));

@@ -12,6 +12,7 @@
 #ifndef MIRAGE_STORAGE_BTREE_H
 #define MIRAGE_STORAGE_BTREE_H
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,6 +38,11 @@ class BTree
     void format(std::function<void(Status)> done);
     void mount(std::function<void(Status)> done);
 
+    /**
+     * Insert or overwrite @p key. Mutations (set/remove) run one at a
+     * time: one issued while another is in flight waits for its
+     * commit, so each descends from the root the previous one wrote.
+     */
     void set(const std::string &key, const std::string &value,
              std::function<void(Status)> done);
 
@@ -79,6 +85,22 @@ class BTree
 
     static constexpr u64 logStartSector = 1;
 
+    /** A set/remove body; it must call its argument exactly once. */
+    using Mutation = std::function<void(std::function<void(Status)>)>;
+
+    /**
+     * Run @p op now when no mutation is in flight or queued, else
+     * after the ones ahead of it. Two overlapping mutations would both
+     * descend from the old root and append at the same log offset, the
+     * later commit silently dropping the earlier one.
+     */
+    void mutate(Mutation op, std::function<void(Status)> done);
+    void startMutation(Mutation op, std::function<void(Status)> done);
+    void applySet(const std::string &key, const std::string &value,
+                  std::function<void(Status)> done);
+    void applyRemove(const std::string &key,
+                     std::function<void(Status)> done);
+
     void loadNode(u64 offset,
                   std::function<void(Result<NodePtr>)> done);
     static Cstruct serialise(const Node &node);
@@ -117,6 +139,8 @@ class BTree
     u64 cache_hits_ = 0;
     u64 cache_misses_ = 0;
     std::map<u64, NodePtr> cache_;
+    bool mutating_ = false;
+    std::deque<std::pair<Mutation, std::function<void(Status)>>> waiting_;
 };
 
 } // namespace mirage::storage

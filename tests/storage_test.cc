@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 
 #include "base/rand.h"
 #include "storage/btree.h"
@@ -79,6 +80,49 @@ class SwallowDevice : public BlockDevice
     BlockDevice &inner_;
     u64 remaining_ = ~0ULL;
     u64 swallowed_ = 0;
+};
+
+/** Device whose operations complete only when pump()ed, in issue
+ *  order — so a test can overlap operations the way an asynchronous
+ *  blkif does. */
+class DeferredDevice : public BlockDevice
+{
+  public:
+    explicit DeferredDevice(BlockDevice &inner) : inner_(inner) {}
+
+    u64 sizeSectors() const override { return inner_.sizeSectors(); }
+
+    void
+    read(u64 sector, u32 count, Cstruct buf, BlockCallback done) override
+    {
+        queue_.push_back([=, this, done = std::move(done)]() mutable {
+            inner_.read(sector, count, buf, std::move(done));
+        });
+    }
+
+    void
+    write(u64 sector, u32 count, Cstruct buf,
+          BlockCallback done) override
+    {
+        queue_.push_back([=, this, done = std::move(done)]() mutable {
+            inner_.write(sector, count, buf, std::move(done));
+        });
+    }
+
+    /** Complete queued operations (and any they issue) until idle. */
+    void
+    pump()
+    {
+        while (!queue_.empty()) {
+            auto op = std::move(queue_.front());
+            queue_.pop_front();
+            op();
+        }
+    }
+
+  private:
+    BlockDevice &inner_;
+    std::deque<std::function<void()>> queue_;
 };
 
 // ---- Block layer ----------------------------------------------------------------
@@ -493,6 +537,55 @@ TEST_F(BTreeTest, MountRecoversCommittedState)
     Result<std::string> r = notFoundError("x");
     tree2.get("k33", [&](auto res) { r = res; });
     EXPECT_EQ(r.value(), "v33");
+}
+
+TEST(BTreeOverlap, OverlappingSetsKeepBothKeys)
+{
+    // Two sets issued before either commits: each must descend from
+    // the root the other committed, not both from the old root (the
+    // later commit used to overwrite the earlier one at the same log
+    // offset and drop its key).
+    MemDevice mem(1u << 16);
+    DeferredDevice dev(mem);
+    BTree tree(dev);
+    Status formatted = stateError("pending");
+    tree.format([&](Status st) { formatted = st; });
+    dev.pump();
+    ASSERT_TRUE(formatted.ok());
+    for (int i = 0; i < 20; i++) {
+        tree.set(strprintf("k%02d", i), "v", [](Status st) {
+            ASSERT_TRUE(st.ok());
+        });
+        dev.pump();
+    }
+
+    Status a = stateError("pending"), b = stateError("pending");
+    tree.set("overlap-a", "1", [&](Status st) { a = st; });
+    tree.set("overlap-b", "2", [&](Status st) { b = st; });
+    dev.pump();
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(tree.entryCount(), 22u);
+
+    auto lookup = [&](BTree &t, const std::string &key) {
+        Result<std::string> out = notFoundError("pending");
+        t.get(key, [&](Result<std::string> r) { out = r; });
+        dev.pump();
+        return out.ok() ? out.value() : std::string("<missing>");
+    };
+    EXPECT_EQ(lookup(tree, "overlap-a"), "1");
+    EXPECT_EQ(lookup(tree, "overlap-b"), "2");
+
+    // Both survive a remount from the committed superblock.
+    BTree again(dev);
+    Status mounted = stateError("pending");
+    again.mount([&](Status st) { mounted = st; });
+    dev.pump();
+    ASSERT_TRUE(mounted.ok());
+    EXPECT_EQ(again.entryCount(), 22u);
+    EXPECT_EQ(lookup(again, "overlap-a"), "1");
+    EXPECT_EQ(lookup(again, "overlap-b"), "2");
+    EXPECT_EQ(lookup(again, "k07"), "v");
 }
 
 TEST_F(BTreeTest, RejectsOversizedItems)
