@@ -134,8 +134,13 @@ Blkback::Blkback(Domain &backend_dom, VirtualDisk &disk)
 }
 
 void
-Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port)
+Blkback::connect(Domain &frontend, FrontRing &front, GrantRef ring_grant,
+                 Port backend_port)
 {
+    if (&frontend.engine() != &dom_.engine())
+        fatal("blkback: %s runs on another shard than its backend %s; "
+              "a blkif frontend must share its backend's shard",
+              frontend.name().c_str(), dom_.name().c_str());
     Hypervisor &hv = dom_.hypervisor();
     auto page = hv.grantMap(dom_, frontend, ring_grant, true);
     if (!page.ok())
@@ -147,6 +152,7 @@ Blkback::connect(Domain &frontend, GrantRef ring_grant, Port backend_port)
     pmap_.bind(&frontend);
     bell_ = std::make_unique<LazyDoorbell>(hv.events(), dom_, port_);
     ring_ = std::make_unique<BackRing>(page.value());
+    ring_->pair(front);
     if (auto *m = dom_.engine().metrics())
         ring_->attachMetrics(*m, "ring.blkback");
     ring_->attachChecker(dom_.engine().checker(), "ring.blkback");

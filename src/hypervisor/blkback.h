@@ -99,11 +99,15 @@ class Blkback
     Blkback(Domain &backend_dom, VirtualDisk &disk);
 
     /**
-     * Bind a frontend's ring (already granted) and event port. Also
-     * registers a shutdown hook on @p frontend so the ring grant and
-     * any in-flight data grants are unmapped when it tears down.
+     * Bind a frontend's ring (already granted) and event port, pairing
+     * the backend's ring end with @p front. Also registers a shutdown
+     * hook on @p frontend so the ring grant and any in-flight data
+     * grants are unmapped when it tears down. The ring's two ends poll
+     * each other, so @p frontend must run on the backend domain's
+     * engine (shard): fatal() otherwise.
      */
-    void connect(Domain &frontend, GrantRef ring_grant, Port backend_port);
+    void connect(Domain &frontend, FrontRing &front, GrantRef ring_grant,
+                 Port backend_port);
 
     /**
      * Unmap everything held on the frontend and drop the ring.

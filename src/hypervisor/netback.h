@@ -184,6 +184,10 @@ struct NetConnectInfo
     bool featureGso = false;
     /** Frontend advertises blank-checksum tx (feature-csum-offload). */
     bool featureCsumOffload = false;
+    /** The frontend's ring ends, paired with the backend's at connect
+     *  (BackRing::pair); both must be set. */
+    FrontRing *txFront = nullptr;
+    FrontRing *rxFront = nullptr;
 };
 
 class Netback

@@ -294,7 +294,7 @@ TEST(CheckedCloudTest, BlkbackRingTrafficRunsViolationFree)
     xen::GrantRef ring_ref =
         uk.grantTable().grantAccess(dom0.id(), ring_page, false);
     auto [uk_port, dom0_port] = hv.events().connect(uk, dom0);
-    back.connect(uk, ring_ref, dom0_port);
+    back.connect(uk, front, ring_ref, dom0_port);
 
     Cstruct data_page = Cstruct::create(mirage::pageSize);
     xen::GrantRef data_ref =
